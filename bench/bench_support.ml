@@ -145,13 +145,10 @@ type eval_outcome =
   | Not_available of string
 
 let evaluate ~timeout query abox =
-  (* both the legacy deadline thunk and a per-case budget: the budget also
-     caps evaluation phases that predate the thunk's check sites *)
   let budget = Budget.create ~timeout () in
   let t0 = Unix.gettimeofday () in
-  let deadline () = Unix.gettimeofday () -. t0 > timeout in
   (* answer/tuple counts come from the evaluator's own telemetry gauges *)
-  match Obs.collecting (fun () -> Eval.run ~budget ~deadline query abox) with
+  match Obs.collecting (fun () -> Eval.run ~budget query abox) with
   | _r, c ->
     Ok_result
       {
@@ -162,7 +159,7 @@ let evaluate ~timeout query abox =
           Option.value ~default:0
             (Obs.Collector.gauge_int c "eval.generated_tuples");
       }
-  | exception (Eval.Timeout | Error.Obda_error (Error.Budget_exhausted _)) ->
+  | exception Error.Obda_error (Error.Budget_exhausted _) ->
     Timed_out timeout
   | exception Error.Obda_error e -> Not_available (Error.class_name e)
 

@@ -513,10 +513,11 @@ let answer_cmd =
       value & flag
       & info [ "naive" ]
           ~doc:
-            "Evaluate with the legacy engine — written-order heuristic, \
-             maintained-index probes only, naive fixpoint — instead of the \
-             cost-based planner and semi-naive evaluation (the eval-plan \
-             bench baseline).")
+            "Evaluate with the naive baseline plan — clause bodies in their \
+             written order, maintained-index probes only, and full \
+             re-derivation every fixpoint round — instead of the cost-based \
+             planner and semi-naive evaluation (the eval-plan bench \
+             baseline).")
   in
   Cmd.v
     (Cmd.info "answer"

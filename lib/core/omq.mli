@@ -100,8 +100,8 @@ val answer :
     [plan] and [naive] are handed to the evaluator: [plan] caches the
     compiled program across calls (useful when the caller also memoises
     the rewriting, as [Prepared] does — each [answer] call otherwise
-    rewrites afresh and the cache never hits), [naive] selects the legacy
-    written-order engine as a baseline. *)
+    rewrites afresh and the cache never hits), [naive] selects the
+    evaluator's baseline plan (written body order, full re-derivation). *)
 
 val answer_assuming_consistent :
   ?pool:Obda_runtime.Pool.t ->

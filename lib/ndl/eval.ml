@@ -5,8 +5,6 @@ module Fault = Obda_runtime.Fault
 module Pool = Obda_runtime.Pool
 module Obs = Obda_obs.Obs
 
-exception Timeout
-
 (* ------------------------------------------------------------------ *)
 (* Relations *)
 
@@ -55,18 +53,25 @@ let relation_tuples r =
     r.sorted_view <- Some view;
     view
 
+(* File [tuple] under its key on [positions]: the one keyed-bucket insert
+   behind maintained indexes and transient hash tables alike. *)
+let bucket_add tbl positions tuple =
+  let key = List.map (fun p -> tuple.(p)) positions in
+  let cur = Option.value ~default:[] (KeyTbl.find_opt tbl key) in
+  KeyTbl.replace tbl key (tuple :: cur)
+
+let buckets r positions =
+  let tbl = KeyTbl.create (max 64 (relation_size r)) in
+  Hashtbl.iter (fun tuple () -> bucket_add tbl positions tuple) r.tuples;
+  tbl
+
 let relation_add r tuple =
   if Hashtbl.mem r.tuples tuple then false
   else begin
     Hashtbl.add r.tuples tuple ();
     r.sorted_view <- None;
     (* keep existing indexes in sync *)
-    List.iter
-      (fun (positions, tbl) ->
-        let key = List.map (fun p -> tuple.(p)) positions in
-        let cur = Option.value ~default:[] (KeyTbl.find_opt tbl key) in
-        KeyTbl.replace tbl key (tuple :: cur))
-      r.indexes;
+    List.iter (fun (positions, tbl) -> bucket_add tbl positions tuple) r.indexes;
     true
   end
 
@@ -74,13 +79,7 @@ let relation_index r positions =
   match List.assoc_opt positions r.indexes with
   | Some tbl -> tbl
   | None ->
-    let tbl = KeyTbl.create (max 64 (Hashtbl.length r.tuples)) in
-    Hashtbl.iter
-      (fun tuple () ->
-        let key = List.map (fun p -> tuple.(p)) positions in
-        let cur = Option.value ~default:[] (KeyTbl.find_opt tbl key) in
-        KeyTbl.replace tbl key (tuple :: cur))
-      r.tuples;
+    let tbl = buckets r positions in
     r.indexes <- (positions, tbl) :: r.indexes;
     r.index_builds <- r.index_builds + 1;
     tbl
@@ -141,24 +140,18 @@ type env = {
   external_edb : Symbol.t -> int -> Symbol.t list list option;
   domain : int array;
   domain_set : (int, unit) Hashtbl.t;
-  deadline : unit -> bool;
   budget : Budget.t;
   observe : bool;
-      (* when false — worker domains, unobserved batch runs — the evaluator
-         must not touch the global telemetry sink or the fault registry *)
+      (* when false — unobserved batch runs on a worker domain — the
+         driver must not touch the global telemetry sink or the fault
+         registry; the matcher itself never does *)
   explain : (string -> unit) option;
-  mutable ticks : int;
   mutable reads : int;
       (* tuples delivered from relation storage or domain sweeps — the
          engine-work measure the eval-plan bench gates on.  First-atom
          candidates rejected by a worker's partition filter are not
          counted, so the total is identical at every worker count *)
 }
-
-let tick env =
-  env.ticks <- env.ticks + 1;
-  Budget.step env.budget;
-  if env.ticks land 0xFFF = 0 && env.deadline () then raise Timeout
 
 let get_relation env p ~arity =
   match Symbol.Tbl.find_opt env.relations p with
@@ -190,54 +183,6 @@ let get_relation env p ~arity =
     Symbol.Tbl.replace env.relations p r;
     r
 
-(* The naïve baseline's static atom order: repeatedly pick the cheapest
-   atom given the variables bound so far (bound count first, then smaller
-   relations), exactly the pre-planner heuristic. *)
-let order_atoms env nvars atoms =
-  let bound = Array.make nvars false in
-  let term_bound = function CV i -> bound.(i) | CC _ -> true in
-  let score = function
-    | CEq (t1, t2) ->
-      if term_bound t1 || term_bound t2 then max_int else -1000
-    | CDom t -> if term_bound t then max_int - 1 else -100
-    | CPred (p, ts) ->
-      let bound_count =
-        Array.fold_left (fun acc t -> if term_bound t then acc + 1 else acc) 0 ts
-      in
-      let size =
-        match Symbol.Tbl.find_opt env.relations p with
-        | Some r -> relation_size r
-        | None -> 0 (* EDB not yet materialised; assume large-ish *)
-      in
-      (bound_count * 1_000_000) - min size 999_999
-  in
-  let bind_atom = function
-    | CEq (t1, t2) | CPred (_, [| t1; t2 |]) ->
-      (match t1 with CV i -> bound.(i) <- true | CC _ -> ());
-      (match t2 with CV i -> bound.(i) <- true | CC _ -> ())
-    | CDom t | CPred (_, [| t |]) -> (
-      match t with CV i -> bound.(i) <- true | CC _ -> ())
-    | CPred (_, ts) ->
-      Array.iter (function CV i -> bound.(i) <- true | CC _ -> ()) ts
-  in
-  let rec pick acc remaining =
-    match remaining with
-    | [] -> List.rev acc
-    | _ ->
-      let best =
-        List.fold_left
-          (fun best a ->
-            match best with
-            | None -> Some a
-            | Some b -> if score a > score b then Some a else best)
-          None remaining
-      in
-      let a = Option.get best in
-      bind_atom a;
-      pick (a :: acc) (List.filter (fun a' -> a' != a) remaining)
-  in
-  pick [] atoms
-
 (* Planner statistics, read off the evaluator's current state: exact
    relation sizes, exact distinct-key counts whenever an index on those
    positions has already been built, the active-domain size otherwise. *)
@@ -257,27 +202,18 @@ let stats_of_env env ~transient =
     domain = Array.length env.domain;
   }
 
+(* The naïve baseline is a plan choice: the written body under
+   [Plan.trivial] instead of the cost model's reorder. *)
 let compile_and_plan env ~naive ~transient (c : Ndl.clause) =
   let nvars, names, head, body = compile_clause c in
+  List.iter
+    (function
+      | CPred (p, ts) -> ignore (get_relation env p ~arity:(Array.length ts))
+      | CEq _ | CDom _ -> ())
+    body;
   let plan =
-    if naive then
-      (* legacy order first (its scoring expects lazily materialised EDB
-         sizes), then materialise, preserving the pre-planner behaviour *)
-      let ordered = Plan.trivial ~nvars (order_atoms env nvars body) in
-      List.iter
-        (function
-          | CPred (p, ts) -> ignore (get_relation env p ~arity:(Array.length ts))
-          | CEq _ | CDom _ -> ())
-        body;
-      ordered
-    else begin
-      List.iter
-        (function
-          | CPred (p, ts) -> ignore (get_relation env p ~arity:(Array.length ts))
-          | CEq _ | CDom _ -> ())
-        body;
-      Plan.make (stats_of_env env ~transient) ~nvars body
-    end
+    if naive then Plan.trivial ~nvars body
+    else Plan.make (stats_of_env env ~transient) ~nvars body
   in
   (match env.explain with
   | Some f ->
@@ -317,13 +253,10 @@ let eval_compiled env target ?keep cc =
           v)
         head
     in
-    if relation_add target tuple then begin
-      Budget.grow env.budget;
-      if env.observe then Obs.incr "eval.derived_facts"
-    end
+    if relation_add target tuple then Budget.grow env.budget
   in
   let rec go ~first si steps =
-    tick env;
+    Budget.step env.budget;
     match steps with
     | [] -> emit ()
     | (step : Plan.step) :: rest -> (
@@ -399,15 +332,7 @@ let eval_compiled env target ?keep cc =
               match hashes.(si) with
               | Some tbl -> tbl
               | None ->
-                let tbl = KeyTbl.create (max 16 (relation_size r)) in
-                Hashtbl.iter
-                  (fun tuple () ->
-                    let key = List.map (fun i -> tuple.(i)) step.probe in
-                    let cur =
-                      Option.value ~default:[] (KeyTbl.find_opt tbl key)
-                    in
-                    KeyTbl.replace tbl key (tuple :: cur))
-                  r.tuples;
+                let tbl = buckets r step.probe in
                 hashes.(si) <- Some tbl;
                 tbl
             in
@@ -443,16 +368,17 @@ let eval_compiled env target ?keep cc =
   go ~first:true 0 plan.Plan.steps
 
 (* ------------------------------------------------------------------ *)
-(* Parallel batch evaluation.
+(* Rounds.
 
-   Plans are computed once per clause on the main domain, so the set of
-   bound positions at every step is static: a prepass can materialise every
-   EDB relation and build every index an [Index] step will probe — leaving
-   the worker domains with pure reads of [env.relations] ([Hash] steps
-   build their transient tables in worker-local memory).  Workers derive
-   into worker-local relations (budgeted by a [Budget.slice] each) and the
-   caller merges them into the batch's target relations: the barrier
-   between strata, and between semi-naïve rounds. *)
+   A round evaluates a list of (stratum predicate index, compiled clause)
+   assignments into fresh output relations, one set per worker.  Plans are
+   computed once per clause on the main domain, so the set of bound
+   positions at every step is static: before a pooled round, a prepass
+   materialises every EDB relation and builds every index an [Index] step
+   will probe — leaving the worker domains with pure reads of
+   [env.relations] ([Hash] steps build their transient tables in
+   worker-local memory).  Each worker derives under a [Budget.slice];
+   the stratum driver merges the outputs. *)
 
 let prepare_clause env cc =
   List.iter
@@ -480,27 +406,20 @@ let scheme_of_plan (plan : Plan.t) =
   | { atom = CDom (CV _); _ } :: _ -> Enum_domain
   | _ -> Whole
 
-(* Evaluate [assignments] — (target index, compiled clause) pairs — into
-   [targets], in parallel when a pool with more than one worker is given.
-   [count_derived] controls whether the merge reports "eval.derived_facts"
-   (the semi-naïve driver counts additions to the full relations itself). *)
-let eval_batch env ?(count_derived = true) pool targets assignments =
+let eval_round env pool arities assignments =
+  let fresh () = Array.map relation_create arities in
   match pool with
-  | Some pool when Pool.jobs pool > 1 && assignments <> [] ->
+  | Some pool when Pool.jobs pool > 1 ->
     let jobs = Pool.jobs pool in
     List.iter (fun (_, cc) -> prepare_clause env cc) assignments;
     let work = Array.of_list assignments in
     let schemes = Array.map (fun (_, cc) -> scheme_of_plan cc.plan) work in
-    let locals =
-      Array.init jobs (fun _ ->
-          Array.map (fun (t : relation) -> relation_create t.arity) targets)
-    in
+    let outs = Array.init jobs (fun _ -> fresh ()) in
     let slices =
       Array.init jobs (fun _ -> Budget.slice ~parts:jobs env.budget)
     in
     let wenvs =
-      Array.init jobs (fun w ->
-          { env with budget = slices.(w); observe = false; ticks = 0; reads = 0 })
+      Array.init jobs (fun w -> { env with budget = slices.(w); reads = 0 })
     in
     Pool.run pool (fun w ->
         let wenv = wenvs.(w) in
@@ -508,35 +427,45 @@ let eval_batch env ?(count_derived = true) pool targets assignments =
         Array.iteri
           (fun ci (ti, cc) ->
             match schemes.(ci) with
-            | Whole -> if ci mod jobs = w then eval_compiled wenv locals.(w).(ti) cc
+            | Whole -> if ci mod jobs = w then eval_compiled wenv outs.(w).(ti) cc
             | Enum_tuples | Enum_domain ->
-              eval_compiled wenv locals.(w).(ti) ~keep cc)
+              eval_compiled wenv outs.(w).(ti) ~keep cc)
           work);
-    (* merge: worker budgets and read counts back into the parent, worker
-       derivations into the target relations (deduplicating across workers) *)
+    (* worker budgets and read counts back into the parent *)
     Array.iter (fun s -> Budget.absorb env.budget ~from:s) slices;
     Array.iter (fun wenv -> env.reads <- env.reads + wenv.reads) wenvs;
-    let added = ref 0 in
-    Array.iteri
-      (fun w wlocals ->
-        Array.iteri
-          (fun ti local ->
-            Hashtbl.iter
-              (fun tuple () ->
-                if relation_add targets.(ti) tuple then incr added)
-              local.tuples)
-          wlocals;
-        if env.observe && Obs.enabled () then
-          Obs.count
-            (Printf.sprintf "eval.worker%d.derived" w)
-            (Array.fold_left (fun acc l -> acc + relation_size l) 0 wlocals))
-      locals;
     if env.observe then begin
-      if count_derived then Obs.count "eval.derived_facts" !added;
+      if Obs.enabled () then
+        Array.iteri
+          (fun w rels ->
+            Obs.count
+              (Printf.sprintf "eval.worker%d.derived" w)
+              (Array.fold_left (fun acc r -> acc + relation_size r) 0 rels))
+          outs;
       Obs.incr "eval.parallel_rounds"
-    end
+    end;
+    outs
   | _ ->
-    List.iter (fun (ti, cc) -> eval_compiled env targets.(ti) cc) assignments
+    let rels = fresh () in
+    List.iter (fun (ti, cc) -> eval_compiled env rels.(ti) cc) assignments;
+    [| rels |]
+
+(* The one merge of derived tuples into full relations: every output set
+   of [outs] into [into], also recording the genuinely new tuples in
+   [delta] when given.  Returns how many were new. *)
+let merge ?delta into outs =
+  let added = ref 0 in
+  Array.iter
+    (Array.iteri (fun i (out : relation) ->
+         Hashtbl.iter
+           (fun tuple () ->
+             if relation_add into.(i) tuple then begin
+               incr added;
+               Option.iter (fun d -> ignore (relation_add d.(i) tuple)) delta
+             end)
+           out.tuples))
+    outs;
+  !added
 
 (* ------------------------------------------------------------------ *)
 (* Compiled programs and the plan cache.
@@ -549,30 +478,27 @@ let eval_batch env ?(count_derived = true) pool targets assignments =
    whole compiled program across runs of the same query value: [Prepared]
    queries replan only when the store size drifts past a threshold. *)
 
-type cstraight = {
-  spred : Symbol.t;
-  sarity : int;
-  sclauses : Ndl.clause list;
-  mutable sccs : compiled list option;
+type stratum = {
+  preds : Symbol.t array;
+  arities : int array;
+  deltas : Symbol.t array;
+      (* per predicate, the symbol its delta relation is registered under
+         while the rerun clauses run; empty unless semi-naïve recursive *)
+  transient : Symbol.Set.t;  (* the delta symbols, for the planner *)
+  base_clauses : (int * Ndl.clause) list;  (* (predicate index, clause) *)
+  rerun_clauses : (int * Ndl.clause) list;
+      (* what every round after the first evaluates: the delta variants
+         when semi-naïve, the base clauses again when naïve, nothing when
+         the stratum is nonrecursive *)
+  mutable base : (int * compiled) list option;
+  mutable rerun : (int * compiled) list option;
 }
-
-type cfixpoint = {
-  fpreds : (Symbol.t * int) array;
-  fdelta : Symbol.t array;  (* delta symbol per predicate, aligned *)
-  ftransient : Symbol.Set.t;  (* the delta symbols, for the planner *)
-  fbase_clauses : (int * Ndl.clause) list;
-  fvariant_clauses : (int * Ndl.clause) list;
-  mutable fbase : (int * compiled) list option;
-  mutable fvariants : (int * compiled) list option;
-}
-
-type cstratum = CStraight of cstraight | CFixpoint of cfixpoint
 
 type cached = {
   cfor : Ndl.query;  (* physical identity of the planned query *)
   cnaive : bool;
   catoms : int;  (* ABox size at plan time, for the replan threshold *)
-  cstrata : cstratum array;
+  cstrata : stratum array;
 }
 
 type plan_cache = { mutable slot : cached option }
@@ -585,10 +511,10 @@ let replan_factor = 2.0
 
 (* One delta variant per in-stratum body atom: that atom probes the delta
    relation, every other atom the full one. *)
-let delta_variants scc delta_of (c : Ndl.clause) =
+let delta_variants delta_of (c : Ndl.clause) =
   let rec go prefix acc = function
     | [] -> List.rev acc
-    | (Ndl.Pred (p, ts) as a) :: rest when Symbol.Set.mem p scc ->
+    | (Ndl.Pred (p, ts) as a) :: rest when Symbol.Map.mem p delta_of ->
       let variant =
         {
           c with
@@ -614,67 +540,56 @@ let skeleton ~naive ~atoms (q : Ndl.query) =
   let clauses_of p =
     List.rev (Option.value ~default:[] (Symbol.Tbl.find_opt by_head p))
   in
-  let arity_of = function
-    | (c : Ndl.clause) :: _ -> List.length (snd c.head)
-    | [] -> 0
+  let stratum (preds, recursive) =
+    let preds = Array.of_list preds in
+    let arities =
+      Array.map
+        (fun p ->
+          match clauses_of p with
+          | (c : Ndl.clause) :: _ -> List.length (snd c.head)
+          | [] -> 0)
+        preds
+    in
+    let base_clauses =
+      List.concat
+        (List.mapi
+           (fun i p -> List.map (fun c -> (i, c)) (clauses_of p))
+           (Array.to_list preds))
+    in
+    let semi_naive = recursive && not naive in
+    let deltas =
+      if semi_naive then
+        Array.map (fun p -> Symbol.fresh ("delta:" ^ Symbol.name p)) preds
+      else [||]
+    in
+    let rerun_clauses =
+      if semi_naive then
+        let delta_of =
+          Symbol.Map.of_seq (Seq.zip (Array.to_seq preds) (Array.to_seq deltas))
+        in
+        List.concat_map
+          (fun (i, c) -> List.map (fun v -> (i, v)) (delta_variants delta_of c))
+          base_clauses
+      else if recursive then base_clauses
+      else []
+    in
+    {
+      preds;
+      arities;
+      deltas;
+      transient = Symbol.Set.of_list (Array.to_list deltas);
+      base_clauses;
+      rerun_clauses;
+      base = None;
+      rerun = None;
+    }
   in
-  let cstrata =
-    List.map
-      (fun (preds, recursive) ->
-        match (preds, recursive) with
-        | [ p ], false ->
-          let clauses = clauses_of p in
-          CStraight
-            { spred = p; sarity = arity_of clauses; sclauses = clauses; sccs = None }
-        | preds, _ ->
-          let scc = Symbol.Set.of_list preds in
-          let fpreds =
-            Array.of_list
-              (List.map (fun p -> (p, arity_of (clauses_of p))) preds)
-          in
-          let fdelta =
-            Array.map
-              (fun (p, _) -> Symbol.fresh ("delta:" ^ Symbol.name p))
-              fpreds
-          in
-          let delta_of =
-            snd
-              (Array.fold_left
-                 (fun (i, m) (p, _) ->
-                   (i + 1, Symbol.Map.add p fdelta.(i) m))
-                 (0, Symbol.Map.empty) fpreds)
-          in
-          let ftransient =
-            Array.fold_left
-              (fun acc d -> Symbol.Set.add d acc)
-              Symbol.Set.empty fdelta
-          in
-          let base_clauses =
-            List.concat
-              (List.mapi
-                 (fun i (p, _) ->
-                   List.map (fun c -> (i, c)) (clauses_of p))
-                 (Array.to_list fpreds))
-          in
-          let variant_clauses =
-            List.concat_map
-              (fun (i, c) ->
-                List.map (fun v -> (i, v)) (delta_variants scc delta_of c))
-              base_clauses
-          in
-          CFixpoint
-            {
-              fpreds;
-              fdelta;
-              ftransient;
-              fbase_clauses = base_clauses;
-              fvariant_clauses = variant_clauses;
-              fbase = None;
-              fvariants = None;
-            })
-      (Ndl.strata q)
-  in
-  { cfor = q; cnaive = naive; catoms = atoms; cstrata = Array.of_list cstrata }
+  {
+    cfor = q;
+    cnaive = naive;
+    catoms = atoms;
+    cstrata = Array.of_list (List.map stratum (Ndl.strata q));
+  }
 
 let cache_disposition ?plan ~naive (q : Ndl.query) abox =
   match plan with
@@ -691,139 +606,84 @@ let cache_disposition ?plan ~naive (q : Ndl.query) abox =
     | None -> `Fresh)
 
 (* ------------------------------------------------------------------ *)
-(* Stratum drivers *)
+(* The stratum driver.
 
-let round_marker env =
-  if env.observe then begin
-    Fault.hit Fault.eval_ndl_round;
-    Obs.incr "eval.rounds"
-  end
+   Round 0 evaluates the base clauses with the stratum's own relations
+   empty; its output becomes the stratum's relation — and, for a recursive
+   stratum, the first delta — without a copy (the sequential engine derives
+   straight into it; a pool merges workers 1.. into worker 0's output).
+   While a round adds tuples, the next round evaluates the rerun clauses
+   and merges every output into the full relations and a fresh delta. *)
 
-let eval_straight env pool ~naive (st : cstraight) =
-  round_marker env;
-  let target = relation_create st.sarity in
-  (* register first so in-stratum references resolve to the (empty) target *)
-  Symbol.Tbl.replace env.relations st.spred target;
-  let ccs =
-    match st.sccs with
-    | Some ccs -> ccs
-    | None ->
-      let ccs =
-        List.map
-          (compile_and_plan env ~naive ~transient:Symbol.Set.empty)
-          st.sclauses
-      in
-      st.sccs <- Some ccs;
-      ccs
+let eval_stratum env pool ~naive (st : stratum) =
+  let register syms rels =
+    Array.iteri (fun i p -> Symbol.Tbl.replace env.relations p rels.(i)) syms
   in
-  eval_batch env pool [| target |] (List.map (fun cc -> (0, cc)) ccs)
-
-(* Semi-naïve fixpoint for a recursive stratum (naïve re-derivation when
-   [naive]).  Derivation happens into per-round accumulators under an
-   unobserved child environment; the driver itself counts the genuinely new
-   tuples and fires the per-round fault site / counters, so telemetry means
-   the same thing it does on the straight path. *)
-let eval_fixpoint env pool ~naive (fx : cfixpoint) =
-  let qenv = { env with observe = false } in
-  let fulls =
-    Array.map
-      (fun (p, arity) ->
-        let r = relation_create arity in
-        Symbol.Tbl.replace env.relations p r;
-        r)
-      fx.fpreds
-  in
-  let fresh_accs () = Array.map (fun (r : relation) -> relation_create r.arity) fulls in
-  let merge accs =
-    let added = ref 0 in
-    let deltas =
-      Array.mapi
-        (fun i (acc : relation) ->
-          let delta = relation_create acc.arity in
-          Hashtbl.iter
-            (fun tuple () ->
-              if relation_add fulls.(i) tuple then begin
-                incr added;
-                ignore (relation_add delta tuple)
-              end)
-            acc.tuples;
-          delta)
-        accs
-    in
-    if env.observe then Obs.count "eval.derived_facts" !added;
-    (deltas, !added)
-  in
-  let compile_assignments ~naive clauses =
+  let compile clauses =
     List.map
-      (fun (ti, c) ->
-        (ti, compile_and_plan qenv ~naive ~transient:fx.ftransient c))
+      (fun (i, c) -> (i, compile_and_plan env ~naive ~transient:st.transient c))
       clauses
   in
-  let base_ccs =
-    match fx.fbase with
+  let round ccs =
+    if env.observe then begin
+      Fault.hit Fault.eval_ndl_round;
+      Obs.incr "eval.rounds"
+    end;
+    eval_round env pool st.arities ccs
+  in
+  let derived added =
+    if env.observe then Obs.count "eval.derived_facts" added
+  in
+  register st.preds (Array.map relation_create st.arities);
+  let base =
+    match st.base with
     | Some ccs -> ccs
     | None ->
-      let ccs = compile_assignments ~naive fx.fbase_clauses in
-      fx.fbase <- Some ccs;
+      let ccs = compile st.base_clauses in
+      st.base <- Some ccs;
       ccs
   in
-  if naive then begin
-    (* naïve fixpoint: re-derive every clause from the full relations *)
-    let rec loop () =
-      round_marker env;
-      let accs = fresh_accs () in
-      eval_batch qenv ~count_derived:false pool accs base_ccs;
-      let _, added = merge accs in
-      if added > 0 then loop ()
+  let outs = round base in
+  let full = outs.(0) in
+  let own = Array.fold_left (fun n r -> n + relation_size r) 0 full in
+  let added = own + merge full (Array.sub outs 1 (Array.length outs - 1)) in
+  register st.preds full;
+  derived added;
+  if added > 0 && st.rerun_clauses <> [] then begin
+    register st.deltas full;
+    (* delta variants are planned once, here, against the true round-0
+       sizes of the full and delta relations *)
+    let rerun =
+      match st.rerun with
+      | Some ccs -> ccs
+      | None ->
+        let ccs = if naive then base else compile st.rerun_clauses in
+        st.rerun <- Some ccs;
+        ccs
     in
-    loop ()
+    let rec loop () =
+      let outs = round rerun in
+      let delta = Array.map relation_create st.arities in
+      let added = merge ~delta full outs in
+      derived added;
+      if added > 0 then begin
+        register st.deltas delta;
+        loop ()
+      end
+    in
+    loop ();
+    (* the delta views are dead past the fixpoint *)
+    Array.iter (Symbol.Tbl.remove env.relations) st.deltas
   end
-  else begin
-    round_marker env;
-    let acc0 = fresh_accs () in
-    eval_batch qenv ~count_derived:false pool acc0 base_ccs;
-    let deltas0, added0 = merge acc0 in
-    if added0 > 0 then begin
-      let register deltas =
-        Array.iteri
-          (fun i d -> Symbol.Tbl.replace qenv.relations fx.fdelta.(i) d)
-          deltas
-      in
-      register deltas0;
-      (* delta variants are planned once, here, against the true round-0
-         sizes of the full and delta relations *)
-      let variant_ccs =
-        match fx.fvariants with
-        | Some ccs -> ccs
-        | None ->
-          let ccs = compile_assignments ~naive:false fx.fvariant_clauses in
-          fx.fvariants <- Some ccs;
-          ccs
-      in
-      let rec loop deltas =
-        register deltas;
-        round_marker env;
-        let accs = fresh_accs () in
-        eval_batch qenv ~count_derived:false pool accs variant_ccs;
-        let deltas', added = merge accs in
-        if added > 0 then loop deltas'
-      in
-      loop deltas0;
-      (* the delta views are dead past the fixpoint *)
-      Array.iter (fun d -> Symbol.Tbl.remove qenv.relations d) fx.fdelta
-    end
-  end;
-  env.reads <- qenv.reads;
-  env.ticks <- qenv.ticks
 
 (* ------------------------------------------------------------------ *)
 
-let plan_gauges cstrata =
+let plan_gauges program =
   let index_probes = ref 0
   and hash_joins = ref 0
   and scans = ref 0
   and reordered = ref 0 in
-  let note (cc : compiled) =
+  let note (_, (cc : compiled)) =
     if cc.plan.Plan.reordered then incr reordered;
     List.iter
       (fun (s : Plan.step) ->
@@ -837,21 +697,19 @@ let plan_gauges cstrata =
       cc.plan.Plan.steps
   in
   Array.iter
-    (function
-      | CStraight st -> List.iter note (Option.value ~default:[] st.sccs)
-      | CFixpoint fx ->
-        List.iter (fun (_, cc) -> note cc) (Option.value ~default:[] fx.fbase);
-        List.iter
-          (fun (_, cc) -> note cc)
-          (Option.value ~default:[] fx.fvariants))
-    cstrata;
+    (fun st ->
+      List.iter note (Option.value ~default:[] st.base);
+      (* a naïve rerun is the base plans again *)
+      if not program.cnaive then
+        List.iter note (Option.value ~default:[] st.rerun))
+    program.cstrata;
   Obs.set_int "eval.plan.index_probes" !index_probes;
   Obs.set_int "eval.plan.hash_joins" !hash_joins;
   Obs.set_int "eval.plan.scans" !scans;
   Obs.set_int "eval.plan.reordered" !reordered
 
-let run_unobserved ?pool ?plan ~naive ~observe ~budget ~deadline ~edb
-    ~extra_domain ~explain (q : Ndl.query) abox =
+let run_unobserved ?pool ?plan ~naive ~observe ~budget ~edb ~extra_domain
+    ~explain (q : Ndl.query) abox =
   let idb = Ndl.idb_preds q in
   let domain =
     Array.of_list
@@ -869,11 +727,9 @@ let run_unobserved ?pool ?plan ~naive ~observe ~budget ~deadline ~edb
       external_edb = edb;
       domain;
       domain_set;
-      deadline;
       budget;
       observe;
       explain;
-      ticks = 0;
       reads = 0;
     }
   in
@@ -893,11 +749,7 @@ let run_unobserved ?pool ?plan ~naive ~observe ~budget ~deadline ~edb
     | `Replan -> Obs.incr "eval.plan.replans"
     | `Fresh | `Uncached -> ()
   end;
-  Array.iter
-    (function
-      | CStraight st -> eval_straight env pool ~naive st
-      | CFixpoint fx -> eval_fixpoint env pool ~naive fx)
-    program.cstrata;
+  Array.iter (eval_stratum env pool ~naive) program.cstrata;
   let idb_relations =
     Symbol.Set.fold
       (fun p acc ->
@@ -918,7 +770,7 @@ let run_unobserved ?pool ?plan ~naive ~observe ~budget ~deadline ~edb
     Obs.set_int "eval.answers" (List.length answers);
     Obs.set_int "eval.generated_tuples" generated_tuples;
     Obs.count "eval.tuples_read" env.reads;
-    plan_gauges program.cstrata;
+    plan_gauges program;
     (match pool with
     | Some p when Pool.jobs p > 1 -> Obs.set_int "eval.workers" (Pool.jobs p)
     | _ -> ());
@@ -930,8 +782,7 @@ let run_unobserved ?pool ?plan ~naive ~observe ~budget ~deadline ~edb
   { answers; generated_tuples; tuples_read = env.reads; idb_relations }
 
 let run ?pool ?plan ?(naive = false) ?(observe = true) ?(budget = Budget.none)
-    ?(deadline = fun () -> false) ?(edb = fun _ _ -> None)
-    ?(extra_domain = []) ?explain q abox =
+    ?(edb = fun _ _ -> None) ?(extra_domain = []) ?explain q abox =
   if observe then
     let attrs =
       let plan_attr =
@@ -949,11 +800,11 @@ let run ?pool ?plan ?(naive = false) ?(observe = true) ?(budget = Budget.none)
       | _ -> [])
     in
     Obs.with_span ~attrs "eval.ndl" (fun () ->
-        run_unobserved ?pool ?plan ~naive ~observe ~budget ~deadline ~edb
-          ~extra_domain ~explain q abox)
+        run_unobserved ?pool ?plan ~naive ~observe ~budget ~edb ~extra_domain
+          ~explain q abox)
   else
-    run_unobserved ?pool ?plan ~naive ~observe ~budget ~deadline ~edb
-      ~extra_domain ~explain q abox
+    run_unobserved ?pool ?plan ~naive ~observe ~budget ~edb ~extra_domain
+      ~explain q abox
 
 let answers ?pool ?observe ?budget ?plan ?naive q abox =
   (run ?pool ?observe ?budget ?plan ?naive q abox).answers

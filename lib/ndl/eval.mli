@@ -2,23 +2,25 @@
 
     Every IDB predicate is fully materialised in dependence order, exactly
     like the RDFox configuration used in the paper's Appendix D (no magic
-    sets).  Nonrecursive strata take a single pass; a recursive stratum
-    (the engine accepts recursive programs, though the paper's rewritings
-    never produce them) runs a semi-naïve fixpoint: per round, every
-    recursive clause is rewritten into delta variants — one per in-stratum
-    body atom, that atom probing the stratum's delta relation — so rounds
-    only join against newly derived tuples.  Clause bodies are reordered
-    and given per-atom access strategies by the cost model in {!Plan};
-    [naive] restores the legacy written-order/index-only engine as a
-    baseline.  The number of generated tuples is reported, matching the
-    "generated tuples" columns of Tables 3–5; [tuples_read] counts the
-    tuples the matcher pulled from storage, the measure the [eval-plan]
-    bench gates on. *)
+    sets).  One driver runs every stratum of {!Ndl.strata}: round 0
+    evaluates the stratum's clauses with its own relations empty, and while
+    a round derives new tuples the next one evaluates the stratum's rerun
+    clauses — none for a nonrecursive stratum (a single pass), and for a
+    recursive one (the engine accepts recursive programs, though the
+    paper's rewritings never produce them) the delta variants of a
+    semi-naïve fixpoint: one per in-stratum body atom, that atom probing
+    the previous round's delta relation, so rounds only join against newly
+    derived tuples.  Clause bodies are reordered and given per-atom access
+    strategies by the cost model in {!Plan}.  [naive] is a plan choice,
+    not a second engine: the written body order under {!Plan.trivial}
+    (maintained-index probes only) and full re-derivation — the base
+    clauses again — every round.  The number of generated tuples is
+    reported, matching the "generated tuples" columns of Tables 3–5;
+    [tuples_read] counts the tuples the matcher pulled from storage, the
+    measure the [eval-plan] bench gates on. *)
 
 open Obda_syntax
 open Obda_data
-
-exception Timeout
 
 type relation
 (** A set of constant tuples of fixed arity. *)
@@ -55,28 +57,24 @@ val run :
   ?naive:bool ->
   ?observe:bool ->
   ?budget:Obda_runtime.Budget.t ->
-  ?deadline:(unit -> bool) ->
   ?edb:(Symbol.t -> int -> Symbol.t list list option) ->
   ?extra_domain:Symbol.t list ->
   ?explain:(string -> unit) ->
   Ndl.query -> Abox.t -> result
-(** Raises [Timeout] whenever [deadline ()] becomes true.
-
-    [plan] caches the compiled program (clause order, per-atom strategies,
+(** [plan] caches the compiled program (clause order, per-atom strategies,
     the fixpoint's delta variants) across runs; without it every run plans
-    afresh.  [naive = true] selects the legacy baseline: written-order
-    heuristic, maintained-index probes only, and a naïve fixpoint that
-    re-derives every recursive clause from the full relations each round.
+    afresh.  [naive = true] selects the baseline plan: every clause body in
+    its written order with maintained-index probes only, and a recursive
+    stratum re-derives every clause from the full relations each round.
 
     [explain] receives one line per planned clause (chosen order, per-atom
     strategy, cardinality estimates) as plans are computed; a cached run
     computes no plans and emits nothing.
 
-    [pool] enables the parallel driver: for every stratum of [Ndl.strata]
-    — and every round of a recursive stratum's fixpoint — clause bodies
-    are evaluated concurrently by the pool's workers (the first planned
-    atom's search space is hash-partitioned across workers) and the
-    derived relations are merged at the stratum or round barrier.  Plans
+    [pool] parallelises every round of every stratum: clause bodies are
+    evaluated concurrently by the pool's workers (the first planned atom's
+    search space is hash-partitioned across workers) and the workers'
+    outputs are merged once, at the round barrier.  Plans
     are computed once per clause on the main domain, so workers know every
     index position statically and perform pure reads of the shared
     relations.  Answers are byte-identical to the sequential engine for
@@ -93,8 +91,8 @@ val run :
 
     [budget] is checked on every matcher step (a budget step per visited
     search node, a size unit per materialised tuple); exhaustion raises
-    [Obda_runtime.Error.Obda_error (Budget_exhausted _)].  The legacy
-    [deadline] thunk is kept for callers that manage their own clock.
+    [Obda_runtime.Error.Obda_error (Budget_exhausted _)]; its wall clock
+    is read every 1024 steps.
 
     [edb] supplies tuples for extensional predicates not stored in the ABox
     (e.g. the n-ary relations of a mapped data source); it is consulted

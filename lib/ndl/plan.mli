@@ -69,8 +69,9 @@ val make : stats -> nvars:int -> catom list -> t
 (** Cost-based plan: greedy reorder plus per-atom strategy choice. *)
 
 val trivial : nvars:int -> catom list -> t
-(** Wrap an externally ordered body with no reordering and the legacy
-    strategy (always probe the maintained index): the naïve baseline. *)
+(** The naïve baseline's plan: the body in its given (written) order, every
+    bound predicate atom probing the relation's maintained index and every
+    unbound one scanned — no cost estimates, no hash joins. *)
 
 val describe : names:string array -> t -> string
 (** One-line rendering of the chosen order and strategies, for

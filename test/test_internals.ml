@@ -164,11 +164,15 @@ let test_deadline () =
     random_abox ~seed:9 ~consts:40 ~unary:[] ~binary:[ "R" ] ~unary_atoms:0
       ~binary_atoms:600
   in
-  check "timeout raised" true
+  let module Error = Obda_runtime.Error in
+  check "wall-clock budget exhausted" true
     (try
-       ignore (Eval.run ~deadline:(fun () -> true) q a);
+       ignore (Eval.run ~budget:(Obda_runtime.Budget.create ~timeout:0. ()) q a);
        false
-     with Eval.Timeout -> true)
+     with
+    | Error.Obda_error (Error.Budget_exhausted { resource = Error.Wall_clock; _ })
+      ->
+      true)
 
 let test_self_join () =
   let q =

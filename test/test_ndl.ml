@@ -338,6 +338,37 @@ let test_unbound_unbound_eq_sweep () =
   check_seq_par "x = x sweeps the domain once" q2 a
     [ [ "a" ]; [ "b" ]; [ "c" ] ]
 
+(* The stratum driver's counters, pinned on a recursive program:
+   [tuples_read] is the same at 1 and 4 workers, planned and naive; every
+   derived fact is counted exactly once ([eval.derived_facts] equals the
+   generated tuples); and [eval.rounds] is the fixpoint's round count. *)
+let check_driver_counters name ~rounds q a =
+  let module Obs = Obda_obs.Obs in
+  List.iter
+    (fun naive ->
+      let label what =
+        Printf.sprintf "%s (%s): %s" name
+          (if naive then "naive" else "planned")
+          what
+      in
+      let run jobs =
+        Obs.collecting (fun () ->
+            Obda_runtime.Pool.with_pool ~jobs (fun pool ->
+                Eval.run ~pool ~naive q a))
+      in
+      let ((r1, _) as seq) = run 1 and ((r4, _) as par) = run 4 in
+      check_int (label "tuples_read at jobs 1 and 4") r1.Eval.tuples_read
+        r4.Eval.tuples_read;
+      List.iter
+        (fun ((r : Eval.result), c) ->
+          check_int (label "eval.derived_facts = generated_tuples")
+            r.generated_tuples
+            (Obs.Collector.counter c "eval.derived_facts");
+          check_int (label "eval.rounds") rounds
+            (Obs.Collector.counter c "eval.rounds"))
+        [ seq; par ])
+    [ false; true ]
+
 (* Recursion is supported now: a recursive stratum runs a semi-naïve
    fixpoint.  [Ndl.topo_order] keeps its old contract (it stratifies
    nonrecursive programs only), and a recursive stratum with no base case
@@ -403,6 +434,7 @@ let test_recursive_fixpoint () =
   Alcotest.(check (list (list string)))
     "transitive closure of a chain" expected
     (List.sort compare seq);
+  check_driver_counters "transitive closure" ~rounds:7 tc a;
   (* the delta rounds must not thrash the full relation's indexes: one
      full-scan build per position list, maintained incrementally as the
      fixpoint grows the relation *)
@@ -457,7 +489,8 @@ let test_mutual_recursion () =
   Alcotest.(check (list (list string)))
     "mutual recursion fixpoint"
     [ [ "mr0" ]; [ "mr2" ]; [ "mr4" ] ]
-    (List.sort compare seq)
+    (List.sort compare seq);
+  check_driver_counters "mutual recursion" ~rounds:6 q a
 
 (* The planner must rescue a deliberately pessimal written order: a large
    unbound relation first, the selective unary filter last. *)

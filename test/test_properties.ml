@@ -207,10 +207,13 @@ let monotone_in_data =
       List.for_all (fun t -> List.mem t bigger_answers) smaller_answers)
 
 (* ------------------------------------------------------------------ *)
-(* 6. the planned semi-naïve engine is a drop-in for the naïve baseline:
-      random NDL programs — recursive and non-recursive strata, repeated
-      variables, constants — answer byte-identically under both engines,
-      sequentially and under 4 workers *)
+(* 6. the planned semi-naïve evaluation is a drop-in for the naïve
+      baseline: random NDL programs — recursive and non-recursive strata,
+      repeated variables, constants — answer byte-identically under both
+      plans, sequentially and under 4 workers.  Both plans run through the
+      one stratum driver of [Eval], so linear programs are also checked
+      against an independent engine: Theorem 2's reachability evaluator
+      [Linear_eval] *)
 
 (* a random NDL program over the shared EDB signature: IDB predicates
    I0..I{n-1}, each defined by one or two clauses whose bodies mix EDB
@@ -258,8 +261,11 @@ let random_ndl_program rng =
   in
   Ndl.make ~goal:(ipred (npreds - 1)) ~goal_args:[ "ax"; "ay" ] clauses
 
+let differential_cases = 30
+let linear_cases = ref 0
+
 let planner_differential =
-  QCheck.Test.make ~count:30
+  QCheck.Test.make ~count:differential_cases
     ~name:"semi-naïve + planner = naïve baseline (jobs 1 and 4)"
     QCheck.(int_bound 1_000_000)
     (fun seed ->
@@ -288,7 +294,29 @@ let planner_differential =
       else if naive <> par_naive then
         QCheck.Test.fail_reportf "naive sequential vs 4 workers: %d vs %d"
           (List.length naive) (List.length par_naive)
-      else true)
+      else if not (Ndl.is_linear q) then true
+      else begin
+        incr linear_cases;
+        let linear = Obda_ndl.Linear_eval.answers q abox in
+        if List.sort_uniq compare linear <> List.sort_uniq compare planned then
+          QCheck.Test.fail_reportf "Linear_eval vs driver: %d vs %d answers"
+            (List.length linear) (List.length planned)
+        else true
+      end)
+
+(* the Linear_eval oracle only covers linear programs: report how many of
+   the generated ones it checked *)
+let planner_differential_case =
+  let name, speed, run = QCheck_alcotest.to_alcotest planner_differential in
+  ( name,
+    speed,
+    fun () ->
+      linear_cases := 0;
+      run ();
+      Printf.printf
+        "planner differential: %d of %d programs linear, checked against \
+         Linear_eval\n"
+        !linear_cases differential_cases )
 
 (* ------------------------------------------------------------------ *)
 (* 7. consistency handling: inconsistent data returns all tuples *)
@@ -327,7 +355,7 @@ let suites =
         QCheck_alcotest.to_alcotest skinny_is_skinny;
         QCheck_alcotest.to_alcotest plain_cq_eval;
         QCheck_alcotest.to_alcotest monotone_in_data;
-        QCheck_alcotest.to_alcotest planner_differential;
+        planner_differential_case;
         Alcotest.test_case "inconsistent data returns all tuples" `Quick
           inconsistent_all_tuples;
       ] );
