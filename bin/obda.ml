@@ -991,8 +991,8 @@ let serve_cmd =
           content-addressed rewriting cache.  Each request runs under a \
           fresh sub-budget of the session budget; failures are reported as \
           in-protocol ERR lines, leaving the session usable.  With --jobs N \
-          evaluation (ANSWER, and BATCH queries) runs on N worker domains \
-          with byte-identical responses.  With --socket or --tcp the \
+          each evaluation (an ANSWER, or one query of a BATCH at a time) \
+          is spread over N worker domains with byte-identical responses.  With --socket or --tcp the \
           protocol is served over the network instead: --connections \
           concurrent clients against one shared session, every \
           ANSWER/BATCH isolated on a copy-on-write ABox snapshot, with \

@@ -85,9 +85,9 @@ val run :
     pool, is exactly the sequential engine.
 
     [observe = false] runs without touching the global telemetry sink or
-    the fault registry — required when the caller itself runs on a worker
-    domain (the service layer's BATCH path); those globals are
-    single-domain.
+    the fault registry: no spans, counters or fault hits.  {!explain} uses
+    it so a plan dump leaves no trace, and the benchmark's reference
+    answers use it so checking a result does not count as measured work.
 
     [budget] is checked on every matcher step (a budget step per visited
     search node, a size unit per materialised tuple); exhaustion raises

@@ -10,7 +10,8 @@
    - the disabled path must cost one load and one branch, the same ≤5 ns
      discipline [Obs] and [Fault] already pin in the obs-overhead bench;
    - merging must be exact and associative (bucket-wise integer sums), so
-     per-worker and per-connection histograms combine in any order.
+     histograms recorded separately (e.g. per load-generator client)
+     combine in any order.
 
    Buckets are logarithmic with ratio 2^(1/4) (~19% relative width): value
    [v] lands in the bucket whose upper bound is the smallest [2^(k/4) >= v].
@@ -159,36 +160,3 @@ let snapshots () =
   Mutex.unlock registry_mutex;
   List.map snapshot all
   |> List.sort (fun a b -> compare a.sname b.sname)
-
-(* ------------------------------------------------------------------ *)
-(* Domain-local shards.
-
-   Pool workers run with [observe:false] because the Obs sink is a single
-   mutex-guarded slot — but histograms are their own pillar: a worker
-   records into a private per-domain shard (uncontended atomics), and the
-   shards merge into the registry at the Pool barrier, where [Pool.run]
-   calls the hook below on every participating domain. *)
-
-let shards : (string, t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 4)
-
-let local ?scale name =
-  let tbl = Domain.DLS.get shards in
-  match Hashtbl.find_opt tbl name with
-  | Some t -> t
-  | None ->
-    (* make sure the merge target exists with the same scale *)
-    ignore (registered ?scale name);
-    let t = create ?scale name in
-    Hashtbl.add tbl name t;
-    t
-
-let drain_local () =
-  let tbl = Domain.DLS.get shards in
-  Hashtbl.iter
-    (fun name shard ->
-      merge_into ~into:(registered ~scale:shard.scale name) shard;
-      reset shard)
-    tbl
-
-let () = Obda_runtime.Pool.on_barrier drain_local

@@ -4,10 +4,10 @@
     A histogram is a fixed array of [2^(1/4)]-ratio log buckets (about 19%
     relative width) plus a running sum.  Recording is lock-free (atomic
     bucket increments), so one histogram can be shared across the server's
-    connection domains; merging is an exact bucket-wise integer sum, so it
-    is associative and commutative — per-worker shards combine at the
-    {!Obda_runtime.Pool} barrier and per-connection histograms combine in
-    [Server.stats] in any order with the same result.
+    connection domains and every recording site writes straight into one
+    histogram.  Merging is an exact bucket-wise integer sum, so it is
+    associative and commutative: histograms recorded apart (the serve-load
+    bench keeps one per client) combine in any order with the same result.
 
     Recording is {b off by default}: {!record} with the global flag clear
     is one atomic load and one branch (the same ≤5 ns discipline the
@@ -79,15 +79,3 @@ val registered : ?scale:float -> string -> t
 
 val snapshots : unit -> snapshot list
 (** Snapshots of every registered histogram, sorted by name. *)
-
-(** {1 Domain-local shards} *)
-
-val local : ?scale:float -> string -> t
-(** The calling domain's private shard for [name] (created on first use,
-    along with its {!registered} merge target).  Pool workers record into
-    shards without contending on the shared registry histograms. *)
-
-val drain_local : unit -> unit
-(** Merge the calling domain's shards into their registry targets and
-    reset them.  Registered as a {!Obda_runtime.Pool.on_barrier} hook at
-    module-initialisation time, so every [Pool.run] drains automatically. *)

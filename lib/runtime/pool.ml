@@ -63,17 +63,6 @@ let create ~jobs =
 
 let jobs t = t.jobs
 
-(* Barrier hooks: run on every participating domain (caller included)
-   after its task body finishes, before [run] returns — the merge point
-   for domain-local telemetry shards (Obs.Histogram registers its drain
-   here at module-initialisation time).  Hooks run even when the task
-   raised, so partially recorded telemetry still merges; a hook must be
-   cheap and its own exceptions are swallowed. *)
-let barrier_hooks : (unit -> unit) list ref = ref []
-let on_barrier f = barrier_hooks := f :: !barrier_hooks
-let run_barrier_hooks () =
-  List.iter (fun f -> try f () with _ -> ()) !barrier_hooks
-
 let submit w f =
   Mutex.lock w.m;
   (match w.cell with
@@ -98,30 +87,12 @@ let await w =
   Mutex.unlock w.m;
   outcome
 
-(* Run one worker's share, then its barrier hooks — whether or not the
-   share raised, so telemetry shards merge even on a failing run. *)
-let run_share f i =
-  match f i with
-  | () ->
-    run_barrier_hooks ();
-    None
-  | exception e ->
-    run_barrier_hooks ();
-    Some e
-
 let run t f =
   if t.closed then invalid_arg "Pool.run: pool is shut down";
-  if t.jobs = 1 then (
-    match run_share f 0 with Some e -> raise e | None -> ())
+  if t.jobs = 1 then f 0
   else begin
-    Array.iteri
-      (fun i w ->
-        submit w (fun () ->
-            match run_share f (i + 1) with
-            | Some e -> raise e
-            | None -> ()))
-      t.workers;
-    let own = run_share f 0 in
+    Array.iteri (fun i w -> submit w (fun () -> f (i + 1))) t.workers;
+    let own = match f 0 with () -> None | exception e -> Some e in
     (* always drain every worker, even if some failed, so the pool is
        reusable; report the first failure by worker index (caller first) *)
     let outcomes = Array.map await t.workers in

@@ -10,9 +10,9 @@
     index and the caller is responsible for partitioning the work (the NDL
     evaluator hash-partitions the facts of each clause's first body atom).
 
-    The symbol interner and the telemetry sink are mutex-guarded, so
-    worker bodies may intern and observe (the network server's connection
-    workers do both).  The fault registry's activation counters are still
+    The symbol interner and the telemetry sink are mutex-guarded and
+    histograms are lock-free, so worker bodies may intern, observe and
+    record straight into shared targets; nothing runs at the barrier.  The fault registry's activation counters are still
     single-domain: deterministic fault plans require sequential request
     execution, and the evaluator keeps [observe:false] inside workers so
     per-clause counters stay exact. *)
@@ -32,15 +32,6 @@ val run : t -> (int -> unit) -> unit
     reusable) and the first exception — caller's first, then by worker
     index — is re-raised.  Not reentrant: at most one [run] per pool at a
     time.  Raises [Invalid_argument] after {!shutdown}. *)
-
-val on_barrier : (unit -> unit) -> unit
-(** Register a process-wide barrier hook: {!run} calls it on every
-    participating domain (the caller included) after that domain's share
-    of the work finishes — even a share that raised — and before [run]
-    returns.  This is the merge point for domain-local telemetry: the
-    telemetry library registers its histogram-shard drain here at
-    module-initialisation time.  Hooks must be cheap; exceptions they
-    raise are swallowed. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent. *)

@@ -7,11 +7,9 @@ module Abox = Obda_data.Abox
 module Ndl = Obda_ndl.Ndl
 module Parse = Obda_parse.Parse
 module Symbol = Obda_syntax.Symbol
-module Eval = Obda_ndl.Eval
 module Budget = Obda_runtime.Budget
 module Error = Obda_runtime.Error
 module Fault = Obda_runtime.Fault
-module Pool = Obda_runtime.Pool
 module Obs = Obda_obs.Obs
 module Histogram = Obda_obs.Histogram
 module Exposition = Obda_obs.Exposition
@@ -41,12 +39,8 @@ let latency_histogram = function
   | "ASSERT" | "RETRACT" -> Some h_mutate
   | _ -> None
 
-(* Per-query evaluation latency inside a BATCH: workers record into their
-   domain-local shard ([observe:false] only mutes the single-slot Obs
-   sink), and the shards merge into this registry target at the Pool
-   barrier. *)
-let batch_query_latency = "serve.batch.query.latency"
-let _ = Histogram.registered ~scale:1e9 batch_query_latency
+(* Per-query evaluation latency inside a BATCH. *)
+let h_batch_query = Histogram.registered ~scale:1e9 "serve.batch.query.latency"
 
 type access_log = {
   write : string -> unit;  (** one complete JSON line, no trailing newline *)
@@ -106,6 +100,20 @@ let origin_string = function `Hit -> "hit" | `Miss -> "miss"
 let tuple_string tuple =
   String.concat "," (List.map Symbol.name tuple)
 
+(* The status line and tuples of one answered query; [tag] is empty for
+   ANSWER and ["name=... "] for each query of a BATCH. *)
+let answer_lines ~tag p answers =
+  if Prepared.arity p = 0 then
+    [ Printf.sprintf "OK %sboolean=%b" tag (answers <> []) ]
+  else
+    Printf.sprintf "OK %sanswers=%d" tag (List.length answers)
+    :: List.map tuple_string answers
+
+let find_prepared session name =
+  match Session.find_prepared session name with
+  | Some p -> p
+  | None -> Error.internal "no prepared query named %S" name
+
 let exec ?budget session (req : Protocol.request) =
   match req with
   | Protocol.Load_ontology file ->
@@ -135,89 +143,30 @@ let exec ?budget session (req : Protocol.request) =
         (Prepared.digest prepared);
     ]
   | Protocol.Answer name ->
-    let prepared =
-      match Session.find_prepared session name with
-      | Some p -> p
-      | None -> Error.internal "no prepared query named %S" name
-    in
+    let prepared = find_prepared session name in
     (* snapshot isolation: evaluate against a frozen revision, so
        concurrent writers on other connections never tear this answer *)
     let snap = Session.freeze session in
-    let answers = Session.answer_at ?budget session prepared snap in
-    if Prepared.arity prepared = 0 then
-      [ Printf.sprintf "OK boolean=%b" (answers <> []) ]
-    else
-      Printf.sprintf "OK answers=%d" (List.length answers)
-      :: List.map tuple_string answers
+    answer_lines ~tag:"" prepared (Session.answer_at ?budget session prepared snap)
   | Protocol.Batch names ->
-    let lookup name =
-      match Session.find_prepared session name with
-      | Some p -> (name, p)
-      | None -> Error.internal "no prepared query named %S" name
-    in
     (* resolve every name before evaluating anything, so an unknown name
        fails the whole request without spending evaluation budget *)
-    let work = Array.of_list (List.map lookup names) in
-    let n = Array.length work in
+    let work = List.map (fun name -> (name, find_prepared session name)) names in
     (* one frozen revision for the whole batch: every query of the request
        sees the same data, whatever concurrent writers do *)
     let snap = Session.freeze session in
-    let consistent = Session.consistent_at session snap in
-    let abox = Session.snapshot_abox snap in
-    (* one sub-allowance per query (the wall deadline stays shared), taken
-       on the calling domain before any worker starts *)
-    let budgets =
-      Array.map (fun _ -> Option.map Budget.sub budget) work
-    in
-    let results = Array.make n [] in
-    let failures = Array.make n None in
-    (* Pool workers record into their domain-local shard (merged into the
-       registry at the Pool barrier); the sequential path records into the
-       registry target directly — there is no barrier to drain a shard. *)
-    let eval_one ~observe ~shard i =
-      let _, p = work.(i) in
+    (* each query answers exactly as ANSWER does, under its own
+       sub-allowance (the wall deadline stays shared) *)
+    let answer (name, p) =
       let t0 = Unix.gettimeofday () in
-      results.(i) <-
-        (if not consistent then Omq.all_tuples abox (Prepared.arity p)
-         else
-           Eval.answers ~observe ?budget:budgets.(i) (Prepared.rewriting p)
-             abox);
-      if Histogram.recording () then
-        Histogram.record
-          (if shard then Histogram.local ~scale:1e9 batch_query_latency
-           else Histogram.registered ~scale:1e9 batch_query_latency)
-          (Unix.gettimeofday () -. t0)
+      let answers =
+        Session.answer_at ?budget:(Option.map Budget.sub budget) session p snap
+      in
+      Histogram.record h_batch_query (Unix.gettimeofday () -. t0);
+      answer_lines ~tag:("name=" ^ name ^ " ") p answers
     in
-    (match Session.pool session with
-    | Some pool when Pool.jobs pool > 1 && not (Fault.armed ()) ->
-      (* queries round-robin across workers; [observe:false] because the
-         telemetry sink and fault registry are single-domain.  An armed
-         fault plan forces the sequential path so activation counts stay
-         deterministic. *)
-      let jobs = Pool.jobs pool in
-      Pool.run pool (fun w ->
-          let i = ref w in
-          while !i < n do
-            (try eval_one ~observe:false ~shard:true !i
-             with e -> failures.(!i) <- Some e);
-            i := !i + jobs
-          done);
-      (* all queries ran to completion; report the first failure by batch
-         position, matching the sequential path's first-error semantics *)
-      Array.iter (function Some e -> raise e | None -> ()) failures
-    | _ -> for i = 0 to n - 1 do eval_one ~observe:true ~shard:false i done);
-    Printf.sprintf "OK batch=%d" n
-    :: List.concat
-         (List.mapi
-            (fun i (name, p) ->
-              let answers = results.(i) in
-              if Prepared.arity p = 0 then
-                [ Printf.sprintf "OK name=%s boolean=%b" name (answers <> []) ]
-              else
-                Printf.sprintf "OK name=%s answers=%d" name
-                  (List.length answers)
-                :: List.map tuple_string answers)
-            (Array.to_list work))
+    Printf.sprintf "OK batch=%d" (List.length work)
+    :: List.concat_map answer work
   | Protocol.Assert_facts text ->
     (* parse outside the session lock; apply atomically, so a concurrent
        freeze sees all of this request's facts or none of them *)

@@ -19,15 +19,14 @@ val exec :
     answer set.  [ASSERT]/[RETRACT] apply all facts of the request
     atomically under the session lock.
 
-    [BATCH] answers several prepared queries in one request — concurrently
-    on the session pool when the session has [jobs > 1] (each query under
-    its own [Budget.sub] of the request budget; an armed fault plan forces
-    the sequential path so activation counts stay deterministic).  Every
-    name is resolved before anything is evaluated, the response interleaves
-    one [OK name=... answers=N] (or [boolean=...]) header with its tuples
-    per query in request order, and the first failing query (by batch
-    position) fails the whole request.  Responses are byte-identical for
-    any [jobs]. *)
+    [BATCH] answers several prepared queries in one request, one after
+    another, each exactly as [ANSWER] would ({!Session.answer_at} against
+    the request's one snapshot, under its own [Budget.sub] of the request
+    budget).  Every name is resolved before anything is evaluated, the
+    response interleaves one [OK name=... answers=N] (or [boolean=...])
+    header with its tuples per query in request order, and the first
+    failing query fails the whole request.  Responses are byte-identical
+    for any [jobs]. *)
 
 val handle_line :
   ?budget:Obda_runtime.Budget.t ->
@@ -42,8 +41,7 @@ val handle_line :
     into the per-verb registry histograms ([serve.answer.latency],
     [serve.batch.latency], [serve.mutate.latency]) along with
     [serve.answer.count] and [serve.response.bytes]; [BATCH] additionally
-    times each query into [serve.batch.query.latency] (via per-worker
-    domain shards on the pooled path).  The boolean is [true] when the
+    times each query into [serve.batch.query.latency].  The boolean is [true] when the
     loop should stop ([QUIT]).  Blank and comment lines yield no
     response. *)
 

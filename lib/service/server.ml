@@ -42,10 +42,9 @@ type t = {
   mutable shed_connections : int;
   mutable started : float;
   mutable conn_seq : int; (* connection ids, 1-based *)
-  conn_hists : (int, Histogram.t) Hashtbl.t;
-      (* live per-connection request-latency histograms (seconds); merged
-         with [closed_hist] on demand by [stats_rows] *)
-  closed_hist : Histogram.t; (* absorbed when a connection closes *)
+  latency : Histogram.t;
+      (* request latencies (seconds) of every connection; unregistered,
+         so METRICS does not render it *)
 }
 
 let tick = 0.1
@@ -140,8 +139,7 @@ let create ?(connections = 4) ?(backlog = 16) ?max_inflight ?idle_timeout
     shed_connections = 0;
     started = Unix.gettimeofday ();
     conn_seq = 0;
-    conn_hists = Hashtbl.create 16;
-    closed_hist = Histogram.create ~scale:1e9 "server.request.latency";
+    latency = Histogram.create ~scale:1e9 "server.request.latency";
   }
 
 let address t =
@@ -173,20 +171,9 @@ let stats_rows t =
   and inflight = t.inflight
   and served = t.served
   and shed_requests = t.shed_requests
-  and shed_connections = t.shed_connections
-  (* per-connection histograms combine here: closed connections were
-     absorbed into [closed_hist] (under this mutex), live ones merge
-     bucket-wise (exact, order-independent) into a scratch histogram.
-     Merging under the mutex excludes the close-time absorption, so a
-     request is never counted both live and closed. *)
-  and merged =
-    let merged = Histogram.create ~scale:1e9 "server.request.latency" in
-    Histogram.merge_into ~into:merged t.closed_hist;
-    Hashtbl.iter (fun _ h -> Histogram.merge_into ~into:merged h) t.conn_hists;
-    merged
-  in
+  and shed_connections = t.shed_connections in
   Mutex.unlock t.m;
-  let snap = Histogram.snapshot merged in
+  let snap = Histogram.snapshot t.latency in
   let quantile_ms q = Histogram.quantile snap q *. 1000. in
   [
     ("server.uptime-s", Printf.sprintf "%.1f" (Unix.gettimeofday () -. t.started));
@@ -251,7 +238,6 @@ let admission_exempt line =
 type conn = {
   fd : Unix.file_descr;
   id : int; (* 1-based connection id, tagged onto access-log lines *)
-  hist : Histogram.t; (* this connection's request latencies (seconds) *)
   buf : Buffer.t;
   chunk : Bytes.t;
   mutable at_eof : bool;
@@ -337,7 +323,7 @@ let handle_request t c line =
           let t0 = Unix.gettimeofday () in
           let lines, stop = Serve.handle_line ~budget ~conn:c.id t.session line in
           send_lines c.fd lines;
-          Histogram.record c.hist (Unix.gettimeofday () -. t0);
+          Histogram.record t.latency (Unix.gettimeofday () -. t0);
           stop)
 
 let handle_connection t fd =
@@ -347,10 +333,8 @@ let handle_connection t fd =
     t.conn_seq <- t.conn_seq + 1;
     let c =
       { fd; id = t.conn_seq;
-        hist = Histogram.create ~scale:1e9 "server.request.latency";
         buf = Buffer.create 256; chunk = Bytes.create 4096; at_eof = false }
     in
-    Hashtbl.replace t.conn_hists c.id c.hist;
     Mutex.unlock t.m;
     c
   in
@@ -358,11 +342,6 @@ let handle_connection t fd =
     ~finally:(fun () ->
       (try Unix.close fd with _ -> ());
       Mutex.lock t.m;
-      (* absorb this connection's latencies as the live entry drops —
-         both under the mutex, so STATS quantiles never lose (or double
-         count) a closing connection *)
-      Histogram.merge_into ~into:t.closed_hist c.hist;
-      Hashtbl.remove t.conn_hists c.id;
       t.active <- t.active - 1;
       Mutex.unlock t.m)
     (fun () ->

@@ -28,8 +28,8 @@ val create :
     session-wide resource envelope ({!budget}); [cache_entries] /
     [cache_weight] bound the rewriting cache.  [jobs] (default 1) is the
     evaluation parallelism: with [jobs > 1] a worker {!Obda_runtime.Pool}
-    is created on first use and every {!answer} (and the serve loop's
-    [BATCH] verb) evaluates on it — answers are byte-identical to
+    is created on first use and every {!answer_at} (so every query of
+    the serve loop's [ANSWER] and [BATCH] verbs) evaluates on it — answers are byte-identical to
     [jobs = 1].  The network server requires [jobs = 1] (it parallelises
     across connections instead; the pool's [run] is not reentrant).
     Raises [Invalid_argument] when [jobs < 1]. *)
@@ -41,13 +41,9 @@ val abox : t -> Obda_data.Abox.t
 
 val jobs : t -> int
 
-val pool : t -> Obda_runtime.Pool.t option
-(** The session's worker pool — [None] for a [jobs = 1] session, otherwise
-    created (once) on first call. *)
-
 val close : t -> unit
 (** Shut down the worker pool, if one was created.  The session remains
-    usable: the next {!pool} call recreates it.  Idempotent. *)
+    usable: the next evaluation recreates it.  Idempotent. *)
 
 val count_request : t -> unit
 val requests : t -> int

@@ -512,39 +512,49 @@ let test_serve_batch_errors () =
   check_str "session still answers" "OK batch=1"
     (first (fst (Serve.handle_line s "BATCH q1")))
 
-let test_serve_batch_fault_armed_forces_sequential () =
-  (* with a pool, batch queries run on worker domains with telemetry off;
-     an armed fault plan must force the sequential observed path so
-     activation counts stay deterministic *)
-  let s = Session.create ~jobs:2 () in
-  Fun.protect
-    ~finally:(fun () -> Session.close s)
-    (fun () ->
-      Session.load_ontology s (tbox ());
-      Session.load_data s (abox ());
-      ignore (Serve.handle_line s "PREPARE q1 q(x) <- A(x)");
-      check "consistency settled before collecting" true (Session.consistent s);
-      let eval_spans f =
-        let (), coll = Obs.collecting f in
-        List.length
-          (List.filter
-             (fun (sp : Obs.span) -> sp.Obs.name = "eval.ndl")
-             (Obs.Collector.spans coll))
-      in
-      let pooled =
-        eval_spans (fun () -> ignore (Serve.handle_line s "BATCH q1 q1"))
-      in
-      check_int "pooled batch keeps workers off the global sink" 0 pooled;
-      match Fault.parse_plan "service.request@999" with
-      | Error e -> Alcotest.fail e
-      | Ok plan ->
-        Fault.arm plan;
-        Fun.protect ~finally:Fault.disarm (fun () ->
-            let sequential =
-              eval_spans (fun () -> ignore (Serve.handle_line s "BATCH q1 q1"))
-            in
-            check_int "armed plan forces the observed sequential path" 2
-              sequential))
+(* BATCH answers each query exactly as ANSWER does: one observed
+   [eval.ndl] span per query, through the prepared query's plan cache (so
+   the second q1 reuses the plan the first compiled), with or without a
+   fault plan armed, sequential or pooled. *)
+let test_serve_batch_answers_like_answer () =
+  let run ~jobs ~armed =
+    let s = Session.create ~jobs () in
+    Fun.protect
+      ~finally:(fun () -> Session.close s)
+      (fun () ->
+        Session.load_ontology s (tbox ());
+        Session.load_data s (abox ());
+        ignore (Serve.handle_line s "PREPARE q1 q(x) <- A(x)");
+        check "consistency settled before collecting" true
+          (Session.consistent s);
+        let batch () =
+          Obs.collecting (fun () -> ignore (Serve.handle_line s "BATCH q1 q1"))
+        in
+        let (), coll =
+          if not armed then batch ()
+          else
+            match Fault.parse_plan "service.request@999" with
+            | Error e -> Alcotest.fail e
+            | Ok plan ->
+              Fault.arm plan;
+              Fun.protect ~finally:Fault.disarm batch
+        in
+        let what = Printf.sprintf "jobs=%d armed=%b" jobs armed in
+        check_int
+          (what ^ ": one eval.ndl span per query")
+          2
+          (List.length
+             (List.filter
+                (fun (sp : Obs.span) -> sp.Obs.name = "eval.ndl")
+                (Obs.Collector.spans coll)));
+        check_int
+          (what ^ ": the second q1 hits the plan cache")
+          1
+          (Obs.Collector.counter coll "eval.plan.cache_hits"))
+  in
+  List.iter
+    (fun (jobs, armed) -> run ~jobs ~armed)
+    [ (1, false); (1, true); (2, false); (2, true) ]
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots and the stats hook *)
@@ -728,6 +738,24 @@ let test_server_end_to_end () =
       Client.close c;
       Client.close c2;
       let c3 = Client.connect address in
+      (* one latency histogram per server: the requests of the closed
+         connections still count in the quantiles *)
+      (match Client.request c3 "STATS" with
+      | _ :: rows ->
+        let value key =
+          List.find_map
+            (fun row ->
+              match String.split_on_char ' ' row with
+              | [ k; v ] when k = key -> float_of_string_opt v
+              | _ -> None)
+            rows
+        in
+        List.iter
+          (fun key ->
+            check (key ^ " counts closed connections") true
+              (match value key with Some v -> v > 0. | None -> false))
+          [ "server.p50-ms"; "server.p99-ms" ]
+      | [] -> Alcotest.fail "no stats response");
       check_str "session reusable after bare EOF" "OK answers=3"
         (first (Client.request c3 "ANSWER q"));
       Alcotest.(check (list string))
@@ -969,8 +997,8 @@ let suites =
         Alcotest.test_case "serve: BATCH matches individual answers" `Quick
           test_serve_batch_matches_individual;
         Alcotest.test_case "serve: BATCH errors" `Quick test_serve_batch_errors;
-        Alcotest.test_case "serve: BATCH under an armed fault plan" `Quick
-          test_serve_batch_fault_armed_forces_sequential;
+        Alcotest.test_case "serve: BATCH answers like ANSWER" `Quick
+          test_serve_batch_answers_like_answer;
         Alcotest.test_case "session: freeze isolation" `Quick
           test_session_freeze_isolation;
         Alcotest.test_case "session: stats hook" `Quick test_session_stats_hook;
